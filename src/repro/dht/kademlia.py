@@ -19,6 +19,7 @@ iterative lookup, Kademlia's natural bandwidth unit.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,15 +35,16 @@ __all__ = ["KademliaDHT", "KademliaNode"]
 
 @dataclass(slots=True)
 class KademliaNode:
-    """One Kademlia peer: identifier, k-buckets, and key store."""
+    """One Kademlia peer: identifier, k-buckets, and key store.
+
+    ``buckets`` maps a bucket index (the highest bit in which a contact's
+    id differs from this node's) to the contacts in that distance range.
+    Only non-empty buckets are kept, highest index first.
+    """
 
     id: int
-    buckets: list[list[int]] = field(default_factory=list)
+    buckets: dict[int, list[int]] = field(default_factory=dict)
     store: dict[str, Any] = field(default_factory=dict)
-
-    def contacts(self) -> list[int]:
-        """All known contacts across buckets."""
-        return [c for bucket in self.buckets for c in bucket]
 
 
 class KademliaDHT(SubstrateBase):
@@ -82,20 +84,24 @@ class KademliaDHT(SubstrateBase):
     # Static overlay construction
     # ------------------------------------------------------------------
 
-    def _bucket_index(self, node_id: int, other: int) -> int:
-        """Bucket index = position of the highest differing bit."""
-        return (node_id ^ other).bit_length() - 1
-
     def _build_buckets(self) -> None:
-        all_ids = sorted(self._nodes)
+        # Bucket j of node x holds ids sharing x's bits above j and
+        # differing at bit j: one contiguous run of the sorted ids,
+        # starting at ((x >> j) ^ 1) << j and 2^j wide.  A bucket keeps
+        # the first k ids of its run, smallest first.
+        all_ids = self.peers.sorted_ids()
+        n, k = len(all_ids), self.k
         for node in self._nodes.values():
-            node.buckets = [[] for _ in range(self.id_bits)]
-            for other in all_ids:
-                if other == node.id:
-                    continue
-                idx = self._bucket_index(node.id, other)
-                if len(node.buckets[idx]) < self.k:
-                    node.buckets[idx].append(other)
+            buckets: dict[int, list[int]] = {}
+            for j in reversed(range(self.id_bits)):
+                lo = ((node.id >> j) ^ 1) << j
+                start = bisect.bisect_left(all_ids, lo)
+                stop = bisect.bisect_left(
+                    all_ids, lo + (1 << j), start, min(start + k, n)
+                )
+                if stop > start:
+                    buckets[j] = all_ids[start:stop]
+            node.buckets = buckets
 
     # ------------------------------------------------------------------
     # Iterative lookup
@@ -103,37 +109,60 @@ class KademliaDHT(SubstrateBase):
 
     def _node_closest_contacts(self, node_id: int, target: int) -> list[int]:
         """A node's answer to FIND_NODE: its k known contacts closest to
-        ``target`` (itself included, as real implementations do)."""
+        ``target`` (itself included, as real implementations do).
+
+        With ``d = node_id ^ target``, a contact in bucket ``j`` keeps
+        ``d``'s bits above ``j`` and flips bit ``j``.  So each bucket is
+        its own distance range, and the ranges order as: buckets where
+        ``d`` has bit ``j`` set, highest ``j`` first (all closer than
+        the node); the node itself; the other buckets, lowest ``j``
+        first.  Walking them in that order, sorting inside each bucket,
+        yields the k closest without sorting all contacts.
+        """
         node = self._nodes[node_id]
-        candidates = node.contacts() + [node_id]
-        candidates.sort(key=lambda c: c ^ target)
-        return candidates[: self.k]
+        d = node_id ^ target
+        k = self.k
+        distance = target.__xor__
+        found: list[int] = []
+        for j, bucket in node.buckets.items():
+            if d >> j & 1:
+                found += sorted(bucket, key=distance)
+                if len(found) >= k:
+                    return found[:k]
+        found.append(node_id)
+        for j, bucket in reversed(node.buckets.items()):
+            if len(found) >= k:
+                break
+            if not d >> j & 1:
+                found += sorted(bucket, key=distance)
+        return found[:k]
 
     def iterative_find(self, start: int, target: int) -> tuple[int, int]:
         """Locate the globally XOR-closest node to ``target``.
 
         Returns ``(closest_node_id, messages_sent)``.
+
+        The shortlist holds the k closest contacts learned so far.
+        Distances are fixed and the learned set only grows, so a contact
+        that falls out of the k closest never returns: truncating after
+        each merge leaves the same k as keeping every contact.
         """
+        k = self.k
+        distance = target.__xor__
         queried: set[int] = set()
-        shortlist = sorted(
-            self._node_closest_contacts(start, target), key=lambda c: c ^ target
-        )
+        shortlist = self._node_closest_contacts(start, target)
         messages = 0
         for _ in range(self.MAX_ROUNDS):
-            pending = [c for c in shortlist[: self.k] if c not in queried]
+            pending = [c for c in shortlist if c not in queried]
             if not pending:
                 break
-            best_before = shortlist[0] ^ target
+            best_before = shortlist[0]
             for contact in pending[: self.alpha]:
                 queried.add(contact)
                 messages += 1
                 learned = self._node_closest_contacts(contact, target)
-                shortlist = sorted(
-                    set(shortlist) | set(learned), key=lambda c: c ^ target
-                )
-            if shortlist[0] ^ target == best_before and all(
-                c in queried for c in shortlist[: self.k]
-            ):
+                shortlist = sorted({*shortlist, *learned}, key=distance)[:k]
+            if shortlist[0] == best_before and queried.issuperset(shortlist):
                 break
         else:
             raise RoutingError(f"Kademlia lookup did not converge on {target}")
@@ -150,5 +179,19 @@ class KademliaDHT(SubstrateBase):
     # ------------------------------------------------------------------
 
     def peer_of(self, key: str) -> int:
+        # Descend the binary trie of the sorted ids: at each bit keep
+        # the half that matches the target's bit when it is non-empty.
         target = hash_key(key, self.id_bits)
-        return min(self._nodes, key=lambda nid: nid ^ target)
+        ids = self.peers.sorted_ids()
+        lo, hi = 0, len(ids)
+        prefix = 0
+        bit = self.id_bits
+        while hi - lo > 1:
+            bit -= 1
+            one = prefix | (1 << bit)
+            mid = bisect.bisect_left(ids, one, lo, hi)
+            if (target >> bit & 1 and mid < hi) or mid == lo:
+                lo, prefix = mid, one
+            else:
+                hi = mid
+        return ids[lo]
