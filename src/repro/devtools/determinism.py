@@ -67,6 +67,24 @@ def _make_resilient_local(n_peers: int, seed: int) -> DHT:
     return ResilientDHT(faulty, seed=derive_seed(seed, "retries"))
 
 
+def _make_replicated_local(n_peers: int, seed: int) -> DHT:
+    """The serving stack's shape over LocalDHT: ResilientDHT over
+    3-way topology-placed replicas over a 2%-lossy FaultyDHT, so replica
+    fan-out, failover probes and retries all replay from the root seed."""
+    from repro.dht.faulty import FaultyDHT
+    from repro.dht.local import LocalDHT
+    from repro.dht.replicated import ReplicatedDHT
+    from repro.resilience.wrapper import ResilientDHT
+
+    faulty = FaultyDHT(
+        LocalDHT(n_peers=n_peers, seed=seed),
+        get_drop_rate=0.02,
+        seed=derive_seed(seed, "faults"),
+    )
+    replicated = ReplicatedDHT(faulty, n_replicas=3)
+    return ResilientDHT(replicated, seed=derive_seed(seed, "retries"))
+
+
 def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
     from repro.dht.registry import factories
 
@@ -74,10 +92,11 @@ def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
 
 
 #: Substrate name -> factory ``(n_peers, seed) -> DHT``: every substrate
-#: enrolled in ``repro.dht.registry``, plus two wrapper arms.
+#: enrolled in ``repro.dht.registry``, plus three wrapper arms.
 SUBSTRATES: dict[str, Callable[[int, int], DHT]] = {
     **_registry_factories(),
     "resilient-local": _make_resilient_local,
+    "replicated-local": _make_replicated_local,
     # The cache is index-level, not DHT-level: this arm runs the plain
     # local substrate with ``cache_enabled`` turned on in the IndexConfig
     # (see ``run_workload``), at a small capacity so eviction, split and

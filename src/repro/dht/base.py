@@ -7,7 +7,7 @@ the paper's bandwidth unit — and substrates additionally report how many
 physical overlay hops the routing took.
 
 Substrates in this package (all built on the shared peer-store kernel,
-:mod:`repro.dht.kernel`):
+:mod:`repro.dht.kernel`, and enrolled once in :mod:`repro.dht.registry`):
 
 * :class:`~repro.dht.local.LocalDHT` — hash-partitioned in-memory store
   with a synthetic ``O(log N)`` hop model; the fast backend for large
@@ -17,13 +17,20 @@ Substrates in this package (all built on the shared peer-store kernel,
 * :class:`~repro.dht.kademlia.KademliaDHT` — Kademlia XOR routing.
 * :class:`~repro.dht.pastry.PastryDHT` — Pastry prefix routing.
 * :class:`~repro.dht.tapestry.TapestryDHT` — Tapestry surrogate routing.
+* :class:`~repro.dht.onehop.OneHopDHT` — single-hop full routing tables
+  (D1HT-style), one hop on a converged overlay.
+* :class:`~repro.dht.koorde.KoordeDHT` — Koorde routing over a de Bruijn
+  graph embedded in the ring.
 
 A composable wrapper stack rides on top — every wrapper is itself a
 :class:`DHT` (built on :class:`~repro.dht.kernel.DelegatingDHT`), so
 stacks like ``Serializing(Replicated(Faulty(Chord)))`` compose freely:
 
 * :class:`~repro.dht.faulty.FaultyDHT` — seeded probabilistic failures.
-* :class:`~repro.dht.replicated.ReplicatedDHT` — k-way salted replicas.
+* :class:`~repro.dht.replicated.ReplicatedDHT` — k-way replicas on the
+  holders the substrate's placement policy picks (successors, leaf set,
+  zone neighbors, ...), with salted aliases only as the fallback, and
+  failover reads from those holders.
 * :class:`~repro.dht.serializing.SerializingDHT` — values cross as bytes.
 * :class:`~repro.dht.accesslog.AccessLoggingDHT` — per-key traffic log.
 * :class:`~repro.resilience.wrapper.ResilientDHT` — retries + breaker.

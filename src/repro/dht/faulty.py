@@ -48,10 +48,8 @@ class FaultyDHT(DelegatingDHT):
         seed: int = 0,
         probe_drop_rate: float | None = None,
     ) -> None:
-        rates = (get_drop_rate, put_fail_rate, remove_fail_rate)
-        if any(not 0.0 <= rate <= 1.0 for rate in rates):
-            raise ConfigurationError("failure rates must be in [0, 1]")
-        if probe_drop_rate is not None and not 0.0 <= probe_drop_rate <= 1.0:
+        rates = (get_drop_rate, put_fail_rate, remove_fail_rate, probe_drop_rate)
+        if any(rate is not None and not 0.0 <= rate <= 1.0 for rate in rates):
             raise ConfigurationError("failure rates must be in [0, 1]")
         super().__init__(inner)
         self.get_drop_rate = get_drop_rate
@@ -68,65 +66,64 @@ class FaultyDHT(DelegatingDHT):
         self.failed_removes = 0
 
     # ------------------------------------------------------------------
+    # Fault injection: one helper per failure kind, shared by the routed
+    # op and its direct-peer twin (replica traffic crosses the same lossy
+    # network).  Each draws one RNG value iff its rate is non-zero.
+    # ------------------------------------------------------------------
+
+    def _drops_get(self, rate: float) -> bool:
+        """Whether this get's reply is lost; charges the lookup if so
+        (the network work happened, the reply did not come back)."""
+        if not (rate and self._rng.random() < rate):
+            return False
+        self.dropped_gets += 1
+        self.metrics.record_get(1, found=False)
+        return True
+
+    def _fail_put(self, key: str, where: str = "") -> None:
+        """Raise an injected put failure at ``put_fail_rate`` (the
+        request was routed and charged, the store failed)."""
+        if self.put_fail_rate and self._rng.random() < self.put_fail_rate:
+            self.failed_puts += 1
+            self.metrics.record_failed_put(1)
+            raise DHTError(f"injected put failure for {key!r}{where}")
+
+    def _fail_remove(self, key: str, where: str = "") -> None:
+        """Raise an injected remove failure at ``remove_fail_rate``."""
+        if self.remove_fail_rate and self._rng.random() < self.remove_fail_rate:
+            self.failed_removes += 1
+            self.metrics.record_failed_remove(1)
+            raise DHTError(f"injected remove failure for {key!r}{where}")
+
+    # ------------------------------------------------------------------
     # DHT interface
     # ------------------------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
-        if self.put_fail_rate and self._rng.random() < self.put_fail_rate:
-            self.failed_puts += 1
-            # Charge the lookup: the request was routed, the store failed.
-            self.metrics.record_failed_put(1)
-            raise DHTError(f"injected put failure for {key!r}")
+        self._fail_put(key)
         self.inner.put(key, value)
 
     def get(self, key: str) -> Any | None:
-        if self.get_drop_rate and self._rng.random() < self.get_drop_rate:
-            self.dropped_gets += 1
-            # Charge the lookup: the network work happened, the reply
-            # was lost.
-            self.metrics.record_get(1, found=False)
+        if self._drops_get(self.get_drop_rate):
             return None
         return self.inner.get(key)
 
     def remove(self, key: str) -> Any | None:
-        if self.remove_fail_rate and self._rng.random() < self.remove_fail_rate:
-            self.failed_removes += 1
-            self.metrics.record_failed_remove(1)
-            raise DHTError(f"injected remove failure for {key!r}")
+        self._fail_remove(key)
         return self.inner.remove(key)
 
-    # ------------------------------------------------------------------
-    # Direct peer access (replica traffic crosses the same lossy network)
-    # ------------------------------------------------------------------
-
     def probe_get(self, key: str, peer_id: int) -> Any | None:
-        rate = (
-            self.get_drop_rate
-            if self.probe_drop_rate is None
-            else self.probe_drop_rate
-        )
-        if rate and self._rng.random() < rate:
-            self.dropped_gets += 1
-            self.metrics.record_get(1, found=False)
+        rate = self.probe_drop_rate
+        if self._drops_get(self.get_drop_rate if rate is None else rate):
             return None
         return self.inner.probe_get(key, peer_id)
 
     def put_at(self, key: str, value: Any, peer_id: int) -> None:
-        if self.put_fail_rate and self._rng.random() < self.put_fail_rate:
-            self.failed_puts += 1
-            self.metrics.record_failed_put(1)
-            raise DHTError(
-                f"injected put failure for {key!r} at peer {peer_id}"
-            )
+        self._fail_put(key, f" at peer {peer_id}")
         self.inner.put_at(key, value, peer_id)
 
     def remove_at(self, key: str, peer_id: int) -> Any | None:
-        if self.remove_fail_rate and self._rng.random() < self.remove_fail_rate:
-            self.failed_removes += 1
-            self.metrics.record_failed_remove(1)
-            raise DHTError(
-                f"injected remove failure for {key!r} at peer {peer_id}"
-            )
+        self._fail_remove(key, f" at peer {peer_id}")
         return self.inner.remove_at(key, peer_id)
 
     # ``local_write``/``local_write_at`` and all introspection delegate

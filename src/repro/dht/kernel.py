@@ -32,7 +32,7 @@ Three classes:
   :class:`~repro.resilience.wrapper.ResilientDHT`).  It shares the inner
   recorder (costs add up across a stack) and delegates the full
   interface, so each wrapper overrides only the operations it actually
-  changes.
+  changes.  :func:`stack_layers` walks such a stack.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ from repro.dht.base import DHT
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import DHTError, NoSuchPeerError
 
-__all__ = ["PeerStore", "PlacementPolicy", "SubstrateBase", "DelegatingDHT"]
+__all__ = [
+    "PeerStore", "PlacementPolicy", "SubstrateBase", "DelegatingDHT", "stack_layers"
+]
 
 
 class PeerStore:
@@ -513,3 +515,15 @@ class DelegatingDHT(DHT):
     @property
     def n_peers(self) -> int:
         return self.inner.n_peers
+
+
+def stack_layers(dht: DHT) -> Iterator[DHT]:
+    """Yield every layer of a wrapper stack, outermost first.
+
+    Follows ``inner`` from ``dht`` down to the base substrate, which is
+    the last layer yielded; a bare substrate yields only itself.
+    """
+    layer: DHT | None = dht
+    while layer is not None:
+        yield layer
+        layer = getattr(layer, "inner", None)

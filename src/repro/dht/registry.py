@@ -24,7 +24,7 @@ from repro.dht.can import CANDHT
 from repro.dht.chord import ChordDHT
 from repro.dht.base import DHT
 from repro.dht.kademlia import KademliaDHT
-from repro.dht.kernel import PlacementPolicy, SubstrateBase
+from repro.dht.kernel import PlacementPolicy, SubstrateBase, stack_layers
 from repro.dht.koorde import KoordeDHT
 from repro.dht.local import LocalDHT
 from repro.dht.onehop import OneHopDHT
@@ -137,9 +137,7 @@ def placement_for(dht: DHT) -> PlacementPolicy:
     the *outermost* layer, so salted aliases route through the full
     wrapper stack exactly as the pre-placement ``ReplicatedDHT`` did.
     """
-    base = dht
-    while (inner := getattr(base, "inner", None)) is not None:
-        base = inner
+    *_, base = stack_layers(dht)
     for registered in _REGISTRY.values():
         if type(base) is registered.cls and registered.placement is not None:
             return registered.placement().bind(base)

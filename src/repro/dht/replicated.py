@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.dht.base import DHT
-from repro.dht.kernel import DelegatingDHT, PlacementPolicy
+from repro.dht.kernel import DelegatingDHT, PlacementPolicy, stack_layers
 from repro.dht.placement import HashSaltPolicy
 from repro.errors import ConfigurationError
 
@@ -48,11 +48,9 @@ def replica_layer(dht: DHT) -> "ReplicatedDHT | None":
     (including ``n_replicas=1``, where failover could only repeat the
     primary read).
     """
-    layer: DHT | None = dht
-    while layer is not None:
+    for layer in stack_layers(dht):
         if isinstance(layer, ReplicatedDHT) and layer.n_replicas > 1:
             return layer
-        layer = getattr(layer, "inner", None)
     return None
 
 
@@ -86,39 +84,46 @@ class ReplicatedDHT(DelegatingDHT):
 
             policy = placement_for(inner)
         elif not hasattr(policy, "substrate"):
-            policy.bind(self._base_substrate(inner))
+            *_, base = stack_layers(inner)
+            policy.bind(base)
         self.policy = policy
         self._salted = isinstance(policy, HashSaltPolicy)
-        #: Removes that observed disagreeing replica values (satellite
-        #: counter mirrored into ``metrics.replica_divergences``).
-        self.divergent_removes = 0
 
-    @staticmethod
-    def _base_substrate(dht: DHT) -> DHT:
-        base = dht
-        while (inner := getattr(base, "inner", None)) is not None:
-            base = inner
-        return base
+    def _copies(self, key: str) -> list[tuple[str, int | None]]:
+        """Every copy of ``key``, primary first, as ``(dht key, holder)``.
 
-    def _targets(self, key: str) -> list[int]:
-        """Ordered replica holders for ``key`` (owner first, live)."""
-        owner = self.inner.peer_of(key)
-        return self.policy.replicas_for(key, owner, self.n_replicas)
+        A ``None`` holder means a routed op on a salted alias; a peer id
+        means a direct kernel op at that placement holder.  Every op
+        returns through its plain pass-through at k=1 before calling
+        this, so the placement policy is never consulted there.
+        """
+        if self._salted:
+            return [(key, None)] + [
+                (HashSaltPolicy.salted(key, i), None)
+                for i in range(1, self.n_replicas)
+            ]
+        return [(key, peer) for peer in self.replica_peers(key)]
+
+    def _probe(self, key: str, holder: int | None) -> Any | None:
+        """Read one copy, charged as a replica probe."""
+        self.metrics.record_replica_probe_get()
+        if holder is None:
+            return self.inner.get(key)
+        return self.inner.probe_get(key, holder)
 
     # ------------------------------------------------------------------
-    # DHT interface
+    # DHT interface (the primary is always the plain routed op)
     # ------------------------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
         self.inner.put(key, value)
         if self.n_replicas == 1:
             return
-        if self._salted:
-            for i in range(1, self.n_replicas):
-                self.inner.put(HashSaltPolicy.salted(key, i), value)
-        else:
-            for peer in self._targets(key)[1:]:
-                self.inner.put_at(key, value, peer)
+        for alias, holder in self._copies(key)[1:]:
+            if holder is None:
+                self.inner.put(alias, value)
+            else:
+                self.inner.put_at(alias, value, holder)
 
     def get(self, key: str) -> Any | None:
         value = self.inner.get(key)
@@ -126,56 +131,44 @@ class ReplicatedDHT(DelegatingDHT):
             return value
         # The primary read came back empty — a dropped reply or a key
         # that simply is not stored; only the replicas can tell.
-        if self._salted:
-            for i in range(1, self.n_replicas):
-                self.metrics.record_replica_probe_get()
-                value = self.inner.get(HashSaltPolicy.salted(key, i))
-                if value is not None:
-                    self.metrics.record_replica_failover()
-                    return value
-        else:
-            for peer in self._targets(key)[1:]:
-                self.metrics.record_replica_probe_get()
-                value = self.inner.probe_get(key, peer)
-                if value is not None:
-                    self.metrics.record_replica_failover()
-                    return value
+        for alias, holder in self._copies(key)[1:]:
+            value = self._probe(alias, holder)
+            if value is not None:
+                self.metrics.record_replica_failover()
+                return value
         return None
 
     def remove(self, key: str) -> Any | None:
-        if self._salted:
-            removed = [self.inner.remove(key)] + [
-                self.inner.remove(HashSaltPolicy.salted(key, i))
-                for i in range(1, self.n_replicas)
-            ]
-        else:
-            removed = [self.inner.remove(key)] + [
-                self.inner.remove_at(key, peer)
-                for peer in self._targets(key)[1:]
-            ]
+        primary = self.inner.remove(key)
+        if self.n_replicas == 1:
+            return primary
+        removed = [primary] + [
+            self.inner.remove(alias)
+            if holder is None
+            else self.inner.remove_at(alias, holder)
+            for alias, holder in self._copies(key)[1:]
+        ]
         present = [value for value in removed if value is not None]
         if present and any(value != present[0] for value in present[1:]):
             # Divergent replicas: surface the drift instead of silently
             # answering with whichever copy happened to come back first.
-            self.divergent_removes += 1
             self.metrics.record_replica_divergence()
-        if removed[0] is not None:
-            return removed[0]  # the primary copy is authoritative
+        if primary is not None:
+            return primary  # the primary copy is authoritative
         return present[0] if present else None
 
     def local_write(self, key: str, value: Any) -> None:
-        if self._salted:
+        if self.n_replicas == 1:
             self.inner.local_write(key, value)
-            for i in range(1, self.n_replicas):
-                self.inner.local_write(HashSaltPolicy.salted(key, i), value)
-        elif self.n_replicas == 1:
-            self.inner.local_write(key, value)
-        else:
-            # Every holder — owner included — rewrites its own copy;
-            # addressing them explicitly keeps replicas from shadowing
-            # the owner in the kernel's holder scan.
-            for peer in self._targets(key):
-                self.inner.local_write_at(key, value, peer)
+            return
+        # Every holder — owner included — rewrites its own copy;
+        # addressing them explicitly keeps replicas from shadowing the
+        # owner in the kernel's holder scan.
+        for alias, holder in self._copies(key):
+            if holder is None:
+                self.inner.local_write(alias, value)
+            else:
+                self.inner.local_write_at(alias, value, holder)
 
     # ------------------------------------------------------------------
     # Degraded-read failover (consulted by repro.core before declaring
@@ -195,19 +188,10 @@ class ReplicatedDHT(DelegatingDHT):
         """
         if self.n_replicas == 1:
             return None
-        if self._salted:
-            for i in range(self.n_replicas):
-                self.metrics.record_replica_probe_get()
-                probe = key if i == 0 else HashSaltPolicy.salted(key, i)
-                value = self.inner.get(probe)
-                if value is not None:
-                    return value
-        else:
-            for peer in self._targets(key):
-                self.metrics.record_replica_probe_get()
-                value = self.inner.probe_get(key, peer)
-                if value is not None:
-                    return value
+        for alias, holder in self._copies(key):
+            value = self._probe(alias, holder)
+            if value is not None:
+                return value
         return None
 
     # ------------------------------------------------------------------
@@ -215,11 +199,10 @@ class ReplicatedDHT(DelegatingDHT):
     # ------------------------------------------------------------------
 
     def peek(self, key: str) -> Any | None:
-        value = self.inner.peek(key)
-        if value is not None or not self._salted:
-            return value
-        for i in range(1, self.n_replicas):
-            value = self.inner.peek(HashSaltPolicy.salted(key, i))
+        if not self._salted:
+            return self.inner.peek(key)  # placement copies share the key
+        for alias, _ in self._copies(key):
+            value = self.inner.peek(alias)
             if value is not None:
                 return value
         return None
@@ -236,4 +219,5 @@ class ReplicatedDHT(DelegatingDHT):
 
     def replica_peers(self, key: str) -> list[int]:
         """Peers holding each replica of ``key``, owner first."""
-        return self._targets(key)
+        owner = self.inner.peer_of(key)
+        return self.policy.replicas_for(key, owner, self.n_replicas)

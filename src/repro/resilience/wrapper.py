@@ -10,8 +10,10 @@ wrappers:
 * **Retries** (:class:`~repro.resilience.policy.RetryPolicy`): a get
   that returns ``None`` is retried up to the attempt budget — a genuine
   miss stays a miss (every attempt agrees), while a dropped reply is
-  recovered with probability ``1 - p^k``.  Puts and removes retry on
-  :class:`~repro.errors.DHTError`.
+  recovered with probability ``1 - p^k``.  Every operation retries on
+  :class:`~repro.errors.DHTError`, through one loop; a fast rejection
+  (:class:`~repro.errors.CircuitOpenError`, from this layer's breaker
+  or an inner one) is never retried.
 * **Per-operation timeout budgets**: cumulative (simulated) backoff per
   operation is capped, so one key cannot burn unbounded time.
 * **Circuit breaker** (:class:`~repro.resilience.breaker.CircuitBreaker`):
@@ -97,11 +99,11 @@ class ResilientDHT(DelegatingDHT):
         self.breaker = breaker or CircuitBreaker(clock=self.clock)
         self._rng = rng or np.random.default_rng(derive_seed(seed, "resilience"))
         self.op_tick = op_tick
-        # Local statistics (the shared metrics aggregate across wrappers).
-        self.retries = 0
+        # Get outcomes the shared metrics do not separate: a ``None``
+        # later proven a dropped reply, and a ``None`` that outlived the
+        # whole retry budget.
         self.confirmed_drops = 0
         self.exhausted_gets = 0
-        self.rejections = 0
 
     # ------------------------------------------------------------------
     # Retry machinery
@@ -117,7 +119,6 @@ class ResilientDHT(DelegatingDHT):
         """Fail fast when the breaker is open (nothing is routed)."""
         self._tick(self.op_tick)
         if not self.breaker.allows():
-            self.rejections += 1
             self.metrics.record_breaker_rejection()
             raise CircuitOpenError(
                 f"circuit open: operation on {key!r} rejected "
@@ -141,11 +142,19 @@ class ResilientDHT(DelegatingDHT):
             return None
         return delay
 
-    def _with_retries(self, operation: Callable[[], T]) -> T:
-        """Run a mutating operation, retrying on typed DHT errors.
+    def _with_retries(
+        self, operation: Callable[[], T], *, retry_none: bool = False
+    ) -> T:
+        """Run one operation, retrying on typed DHT errors.
 
         Every failed attempt feeds the breaker; the terminal failure
-        re-raises the substrate's typed error.
+        re-raises the substrate's typed error.  A fast rejection
+        (:class:`~repro.errors.CircuitOpenError`, from this layer's
+        breaker or an inner one) is never retried.  With
+        ``retry_none`` (gets), a ``None`` result is ambiguous — an
+        absent key or a dropped reply — so it is retried while budget
+        remains without feeding the breaker (an absent key is a valid
+        answer, not a failure).
         """
         retry = 0
         spent = 0.0
@@ -159,14 +168,22 @@ class ResilientDHT(DelegatingDHT):
                 delay = self._next_backoff(retry, spent)
                 if delay is None:
                     raise
-                self.retries += 1
-                self.metrics.record_retry()
-                self._tick(delay)
-                spent += delay
-                retry += 1
             else:
-                self.breaker.record_success()
-                return result
+                if result is not None or not retry_none:
+                    if retry and retry_none:
+                        # The earlier None was a dropped reply, proven by
+                        # this success.
+                        self.confirmed_drops += 1
+                    self.breaker.record_success()
+                    return result
+                delay = self._next_backoff(retry, spent)
+                if delay is None:
+                    self.exhausted_gets += 1
+                    return result
+            self.metrics.record_retry()
+            self._tick(delay)
+            spent += delay
+            retry += 1
 
     # ------------------------------------------------------------------
     # DHT interface
@@ -178,38 +195,7 @@ class ResilientDHT(DelegatingDHT):
 
     def get(self, key: str) -> Any | None:
         self._gate(key)
-        retry = 0
-        spent = 0.0
-        while True:
-            try:
-                value = self.inner.get(key)
-            except DHTError:
-                # Routing-level failure: same treatment as put/remove.
-                self._record_failure()
-                delay = self._next_backoff(retry, spent)
-                if delay is None:
-                    raise
-            else:
-                if value is not None:
-                    if retry:
-                        # The earlier None was a dropped reply, proven by
-                        # this success — worth counting, but the breaker
-                        # sees a completed operation.
-                        self.confirmed_drops += 1
-                    self.breaker.record_success()
-                    return value
-                # Ambiguous: absent key or dropped reply.  Retry while
-                # budget remains; the breaker is not consulted (an absent
-                # key is a valid answer, not a failure).
-                delay = self._next_backoff(retry, spent)
-                if delay is None:
-                    self.exhausted_gets += 1
-                    return None
-            self.retries += 1
-            self.metrics.record_retry()
-            self._tick(delay)
-            spent += delay
-            retry += 1
+        return self._with_retries(lambda: self.inner.get(key), retry_none=True)
 
     def remove(self, key: str) -> Any | None:
         self._gate(key)

@@ -22,7 +22,7 @@ from repro.core.results import MatchStatus
 from repro.dht import registry
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
-from repro.dht.placement import HashSaltPolicy
+from repro.dht.placement import HashSaltPolicy, SuccessorListPolicy
 from repro.dht.replicated import ReplicatedDHT, replica_layer
 
 N_PEERS = 16
@@ -140,14 +140,13 @@ class TestDivergenceAccounting:
         backup = dht.replica_peers("k")[1]
         inner.local_write_at("k", "stale", backup)
         assert dht.remove("k") == "v"  # primary copy is authoritative
-        assert dht.divergent_removes == 1
         assert inner.metrics.replica_divergences == 1
 
     def test_agreeing_removes_do_not_count(self):
         dht = ReplicatedDHT(LocalDHT(N_PEERS, 0), n_replicas=3)
         dht.put("k", "v")
         assert dht.remove("k") == "v"
-        assert dht.divergent_removes == 0
+        assert dht.metrics.replica_divergences == 0
 
 
 class TestDeterministicFailover:
@@ -214,13 +213,17 @@ class TestKOneIdentity:
         assert bare == wrapped
 
     def test_policy_never_consulted_at_k1(self):
-        class ExplodingPolicy(HashSaltPolicy):
-            def replicas_for(self, key, owner, k):
-                raise AssertionError("policy consulted at k=1")
+        for base_policy in (HashSaltPolicy, SuccessorListPolicy):
 
-        dht = ReplicatedDHT(
-            LocalDHT(N_PEERS, 0), n_replicas=1, policy=ExplodingPolicy()
-        )
-        dht.put("k", "v")
-        assert dht.get("k") == "v"
-        assert dht.remove("k") == "v"
+            class ExplodingPolicy(base_policy):
+                def replicas_for(self, key, owner, k):
+                    raise AssertionError("policy consulted at k=1")
+
+            dht = ReplicatedDHT(
+                LocalDHT(N_PEERS, 0), n_replicas=1, policy=ExplodingPolicy()
+            )
+            dht.put("k", "v")
+            assert dht.get("k") == "v"
+            dht.local_write("k", "w")
+            assert dht.failover_get("k") is None  # k=1 has no failover
+            assert dht.remove("k") == "w"

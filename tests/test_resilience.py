@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import IndexConfig, LHTIndex, MatchStatus
 from repro.dht import FaultyDHT, LocalDHT, ReplicatedDHT
+from repro.dht.kernel import DelegatingDHT
 from repro.errors import CircuitOpenError, ConfigurationError, DHTError
 from repro.resilience import (
     BreakerState,
@@ -169,12 +170,11 @@ class TestResilientDHT:
         assert dht.get("k") == 1
         assert dht.remove("k") == 1
         # Successful operations never retry...
-        assert dht.retries == 0
         assert dht.metrics.retries == 0
         # ...but a miss must exhaust the attempt budget: the wrapper
         # cannot distinguish "absent" from "dropped reply".
         assert dht.get("k") is None
-        assert dht.retries == dht.policy.max_retries
+        assert dht.metrics.retries == dht.policy.max_retries
         assert dht.exhausted_gets == 1
 
     def test_get_retries_recover_dropped_replies(self):
@@ -188,7 +188,7 @@ class TestResilientDHT:
         assert recovered >= 185
         assert dht.confirmed_drops > 0
         assert faulty.dropped_gets > 0
-        assert dht.metrics.retries == dht.retries > 0
+        assert dht.metrics.retries > 0
 
     def test_genuine_miss_stays_a_miss(self):
         dht, _ = _stack(drop=0.3, seed=1)
@@ -205,7 +205,7 @@ class TestResilientDHT:
         with pytest.raises(DHTError):
             dht.put("k", 1)
         assert faulty.failed_puts == 3  # every attempt reached the substrate
-        assert dht.retries == 2
+        assert dht.metrics.retries == 2
         assert dht.metrics.failed_puts == 3
 
     def test_breaker_trips_and_fails_fast(self):
@@ -222,7 +222,6 @@ class TestResilientDHT:
         with pytest.raises(CircuitOpenError):
             dht.put("c", 3)
         assert faulty.failed_puts == routed  # rejected without routing
-        assert dht.rejections == 1
         assert dht.metrics.breaker_rejections == 1
         # An open breaker also rejects gets and removes.
         with pytest.raises(CircuitOpenError):
@@ -245,7 +244,7 @@ class TestResilientDHT:
         for _ in range(15):
             with pytest.raises(DHTError):  # CircuitOpenError or trial failure
                 dht.put("c", 0)
-        assert dht.rejections > 0
+        assert dht.metrics.breaker_rejections > 0
         assert dht.clock.now >= breaker.reset_timeout
         # The fault heals: the next half-open trial succeeds and closes.
         faulty.put_fail_rate = 0.0
@@ -288,7 +287,9 @@ class TestResilientDHT:
             dht, _ = _stack(drop=0.4, seed=11)
             dht.put("k", 1)
             outcomes = tuple(dht.get("k") for _ in range(50))
-            return outcomes, dht.retries, dht.confirmed_drops, dht.clock.now
+            return (
+                outcomes, dht.metrics.retries, dht.confirmed_drops, dht.clock.now
+            )
 
         assert run() == run()
 
@@ -300,6 +301,28 @@ class TestResilientDHT:
         assert "k" in list(dht.keys())
         assert (dht.metrics.snapshot() - before).gets == 0
         assert dht.n_peers == faulty.n_peers
+
+    @pytest.mark.parametrize("op", ["get", "put", "remove"])
+    def test_inner_fast_rejection_is_never_retried(self, op):
+        class Rejecting(DelegatingDHT):
+            """An inner layer whose breaker is open: rejects every op."""
+
+            attempts = 0
+
+            def _reject(self, *_args):
+                self.attempts += 1
+                raise CircuitOpenError("inner circuit open")
+
+            get = put = remove = _reject
+
+        inner = Rejecting(LocalDHT(8, 0))
+        dht = ResilientDHT(inner, seed=0)
+        args = ("k", 1) if op == "put" else ("k",)
+        with pytest.raises(CircuitOpenError):
+            getattr(dht, op)(*args)
+        assert inner.attempts == 1
+        assert dht.metrics.retries == 0
+        assert dht.breaker.consecutive_failures == 0
 
 
 # ----------------------------------------------------------------------
