@@ -191,7 +191,7 @@ class PHTIndex:
             node = self.dht.peek(str(Label(bits)))
             if not isinstance(node, PHTNode) or not node.is_leaf:
                 raise LookupError_(f"PHT leaf mirror out of sync at #{bits}")
-            existing[bits] = list(node.records)
+            existing[bits] = list(node)
         plan = plan_bulk_load(existing, records, self.config)
         # Leaves the replay split are now internal: record-free nodes
         # under their own (unchanged) DHT keys, links cleared.

@@ -66,6 +66,15 @@ class LeafBucket:
             sorted(records, key=RECORD_KEY) if records else []
         )
 
+    @classmethod
+    def from_sorted(cls, label: Label, records: list[Record]) -> "LeafBucket":
+        """A bucket that takes over ``records``, already sorted by key, as
+        its store: no sort and no copy.  The caller must not keep using
+        the list."""
+        bucket = cls(label)
+        bucket._records = records
+        return bucket
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

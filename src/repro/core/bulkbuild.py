@@ -58,13 +58,17 @@ def normalize_items(
     order — the same relative order ``bisect.insort`` preserves when the
     incremental path appends an equal key after its duplicates.
     """
+    # One Record per key is most of a fast build's time.  Building them
+    # in input order and then sorting beats sorting the keys first:
+    # records built in key order point at floats scattered in memory,
+    # and every later collector pass over the records pays for that.
     records = [
         Record(*item) if isinstance(item, tuple) else Record(item)
         for item in items
     ]
     # Record orders by key alone (payload excluded); sorting on the raw
     # float key is the same stable order without a ``(key,)`` tuple
-    # built per comparison — the hottest line of a 2^20-key build.
+    # built per comparison.
     records.sort(key=RECORD_KEY)
     return records
 
@@ -89,6 +93,28 @@ class BulkPlan:
     inserted: int
 
 
+def _dyadic(num: int, level: int) -> float | Fraction:
+    """The dyadic point ``num / 2**level``, exactly.
+
+    Below level 53 the numerator fits a float's mantissa, so the float
+    quotient is exact and bisections compare float-to-float; deeper
+    trees fall back to exact Fractions.
+    """
+    return num / (1 << level) if level <= 52 else Fraction(num, 1 << level)
+
+
+def _absorb(store: list[Record], run: list[Record]) -> None:
+    """Add an ascending run to a sorted store exactly as inserting its
+    records one by one with ``bisect.insort`` would: after every stored
+    record with an equal key."""
+    merge = bool(store) and store[-1].key > run[0].key
+    store += run
+    if merge:
+        # Two sorted runs: the stable sort merges them in one linear
+        # pass and keeps stored records first among equal keys.
+        store.sort(key=RECORD_KEY)
+
+
 def plan_bulk_load(
     existing: Mapping[str, list[Record]],
     records: list[Record],
@@ -108,27 +134,31 @@ def plan_bulk_load(
     and above the depth cap it splits once at its interval midpoint, the
     record then lands in the covering child; children are never re-split
     for the same record.
+
+    The replay moves a leaf at a time, not a record at a time.  Each
+    step takes the current covering leaf, bisects the sorted input for
+    where the run of records inside it ends, and appends as much of the
+    run as fits before the leaf is full (all of it at the depth cap).
+    A record that arrives at a full leaf splits it once and lands in a
+    child.  Steps are therefore O(leaves + splits), not O(records).
     """
     theta = config.theta_split
     max_depth = config.max_depth
-    leaves: dict[str, list[Record]] = {
-        bits: list(recs) for bits, recs in existing.items()
-    }
+    leaves: dict[str, list[Record]] = dict(existing)
     changed: set[str] = set()
     split_bits: list[str] = []
-    # Sorted keys revisit the same leaf ~θ/2 times in a row, so the
-    # covering-leaf walk (a per-record bit-string build pre-PR) only
-    # needs to run when a record exits the current leaf's interval.
-    # The interval is tracked as the integer pair (cur_num, cur_level):
-    # ``cur_num <= key * 2**cur_level < cur_num + 1`` is the exact
-    # containment test (scaling a float by a power of two only shifts
-    # its exponent), identical to ``path.startswith(bits)``.
-    current: str | None = None
+    # The current leaf's interval is tracked as the integer pair
+    # (cur_num, cur_level): ``cur_num <= key * 2**cur_level < cur_num + 1``
+    # is the exact containment test (scaling a float by a power of two
+    # only shifts its exponent), identical to ``path.startswith(bits)``,
+    # so the covering-leaf walk runs only when the input leaves it.
+    current = ""
     cur_num = cur_level = 0
+    i, total = 0, len(records)
 
-    for record in records:
-        key = record.key
-        if current is None or not cur_num <= key * (1 << cur_level) < cur_num + 1:
+    while i < total:
+        key = records[i].key
+        if not current or not cur_num <= key * (1 << cur_level) < cur_num + 1:
             path = "0" + key_bits(key, max_depth - 1)
             current = next(
                 (
@@ -136,55 +166,59 @@ def plan_bulk_load(
                     for end in range(1, len(path) + 1)
                     if path[:end] in leaves
                 ),
-                None,
+                "",
             )
-            if current is None:
+            if not current:
                 raise LookupError_(f"no known leaf covers {key}")
             cur_level = len(current) - 1
             cur_num = int(current, 2)
             changed.add(current)
-        bits = current
-        store = leaves[bits]
-        if len(store) + 1 >= theta and len(bits) < max_depth:
-            # Midpoint split (Alg. 1): the right child's lower endpoint
-            # is the cut; the store is sorted, so one bisection splits it.
-            # A dyadic boundary with level <= 52 has numerator < 2**52,
-            # so the float quotient is exact and the bisection compares
-            # float-to-float; deeper trees fall back to exact Fractions.
-            child_level = cur_level + 1
-            child_num = 2 * cur_num + 1
-            boundary: float | Fraction = (
-                child_num / (1 << child_level)
-                if child_level <= 52
-                else Fraction(child_num, 1 << child_level)
+        store = leaves[current]
+        capped = len(current) >= max_depth
+        room = total - i if capped else theta - 1 - len(store)
+        if room > 0:
+            # The run inside the leaf ends at its exclusive upper bound;
+            # take what fits, and the next step sees the rest arrive at
+            # a full leaf (or walks on).
+            end = bisect.bisect_left(
+                records,
+                _dyadic(cur_num + 1, cur_level),
+                i,
+                min(total, i + room),
+                key=RECORD_KEY,
             )
-            cut = bisect.bisect_left(store, boundary, key=RECORD_KEY)
-            del leaves[bits]
-            left, right = bits + "0", bits + "1"
-            leaves[left] = store[:cut]
-            leaves[right] = store[cut:]
-            changed.discard(bits)
-            changed.update((left, right))
-            split_bits.append(bits)
-            if key >= boundary:
-                bits, cur_num = right, child_num
-            else:
-                bits, cur_num = left, 2 * cur_num
-            cur_level = child_level
-            current = bits
-            store = leaves[bits]
-        # Ascending replay appends in the common case; pre-existing
-        # records with larger keys force a true insertion.
-        if not store or store[-1].key <= key:
-            store.append(record)
+            _absorb(store, records[i:end])
+            i = end
+            continue
+        # Full leaf below the cap: one midpoint split (Alg. 1).  The
+        # right child's lower endpoint is the cut; the store is sorted,
+        # so one bisection splits it.
+        child_level = cur_level + 1
+        child_num = 2 * cur_num + 1
+        boundary = _dyadic(child_num, child_level)
+        cut = bisect.bisect_left(store, boundary, key=RECORD_KEY)
+        del leaves[current]
+        left, right = current + "0", current + "1"
+        leaves[left] = store[:cut]
+        leaves[right] = store[cut:]
+        changed.discard(current)
+        changed.update((left, right))
+        split_bits.append(current)
+        if key >= boundary:
+            current, cur_num = right, child_num
         else:
-            bisect.insort(store, record, key=RECORD_KEY)
+            current, cur_num = left, 2 * cur_num
+        cur_level = child_level
+        # The arriving record lands in its child now: a child left full
+        # by the split must not split again for the same record.
+        _absorb(leaves[current], records[i : i + 1])
+        i += 1
 
     return BulkPlan(
         leaves=leaves,
         changed=changed,
         split_bits=tuple(split_bits),
-        inserted=len(records),
+        inserted=total,
     )
 
 
@@ -196,9 +230,14 @@ def leaf_put_items(plan: BulkPlan) -> list[tuple[str, LeafBucket]]:
     round, one charged put per leaf.  Every retired leaf name ``f_n(ω)``
     re-names a leaf created by the replay (Theorem 1's chains are
     suffix-closed), so these puts overwrite all stale keys: no removes
-    are needed.
+    are needed.  The plan's record lists are already sorted, so each
+    bucket takes its list over as its store, unsorted and uncopied; the
+    plan's leaf lists belong to the buckets afterwards.
     """
-    return [
-        (str(naming(Label(bits))), LeafBucket(Label(bits), plan.leaves[bits]))
-        for bits in sorted(plan.changed)
-    ]
+    items: list[tuple[str, LeafBucket]] = []
+    for bits in sorted(plan.changed):
+        label = Label(bits)
+        items.append(
+            (str(naming(label)), LeafBucket.from_sorted(label, plan.leaves[bits]))
+        )
+    return items

@@ -290,7 +290,7 @@ class LHTIndex:
                     f"leaf mirror out of sync at {label}: did another "
                     f"client mutate this index?"
                 )
-            existing[bits] = list(bucket.records)
+            existing[bits] = list(bucket)
         plan = plan_bulk_load(existing, records, self.config)
         # One batched routed round commits the whole plan: each changed
         # final leaf is charged one put (identical counts to sequential

@@ -4,9 +4,9 @@ Every figure in EXPERIMENTS.md claims to be reproducible from a root
 seed.  This module turns that claim into a mechanical check: it runs a
 mixed insert/delete/lookup/range workload against a freshly built LHT
 index, records a canonical per-operation event trace (costs, record
-counts, splits, merges, plus a final structural digest), repeats the run
-with the same seed, and reports the first divergence if the traces are
-not byte-identical.
+counts, splits, merges, plus a final structural digest and the shared
+metric counters), repeats the run with the same seed, and reports the
+first divergence if the traces are not byte-identical.
 
 Exposed three ways:
 
@@ -122,7 +122,8 @@ def run_workload(
     everything observable about the run: the operation, its subject key,
     its DHT-lookup cost, the index's record/leaf counts afterwards, and
     any split or merge events.  A final line digests the end-state leaf
-    structure and key multiset through the oracle inspector.
+    structure and key multiset through the oracle inspector and lists
+    the substrate stack's shared metric counters.
     """
     if substrate not in SUBSTRATES:
         raise ConfigurationError(
@@ -179,9 +180,16 @@ def run_workload(
     keys_digest = hashlib.sha256(
         ",".join(repr(k) for k in inspector.all_keys()).encode()
     ).hexdigest()[:16]
+    # The shared recorder's counters (routed ops, hops, retries, replica
+    # probes, cache hits, ...) are driven by the simulated clock and the
+    # seeded streams, never the wall clock, so they replay exactly; they
+    # expose a wrapper's traffic even when no index answer changes.
+    counters = ",".join(
+        f"{name}:{value}" for name, value in dht.metrics.snapshot().to_dict().items()
+    )
     events.append(
         f"final leaves={stats.n_leaves} records={stats.n_records} "
-        f"max_depth={stats.max_depth} keys_sha={keys_digest}"
+        f"max_depth={stats.max_depth} keys_sha={keys_digest} metrics={counters}"
     )
     return events
 

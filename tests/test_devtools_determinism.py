@@ -40,14 +40,17 @@ class TestSameSeedFixture:
 
     def test_cached_local_agrees_with_local_on_answers(self):
         """Same seed, cache on vs off: every trace line must agree on
-        everything except cost (hits are cheaper, staleness dearer)."""
+        everything except cost (hits are cheaper, staleness dearer) and
+        the final line's metric counters, which count that cost."""
         plain = run_workload(seed=4, substrate="local", n_ops=150)
         cached = run_workload(seed=4, substrate="cached-local", n_ops=150)
         assert len(plain) == len(cached)
 
         def strip_cost(line: str) -> str:
             return " ".join(
-                f for f in line.split() if not f.startswith("cost=")
+                f
+                for f in line.split()
+                if not f.startswith(("cost=", "metrics="))
             )
 
         for a, b in zip(plain, cached):
@@ -69,6 +72,17 @@ class TestLibraryApi:
         a = trace_digest(run_workload(seed=0, n_ops=150))
         b = trace_digest(run_workload(seed=1, n_ops=150))
         assert a != b
+
+    def test_wrapper_traffic_changes_the_digest(self):
+        """Retries over a lossy substrate leave every index answer as on
+        the plain substrate, so only the final line's shared metric
+        counters tell the two traces apart."""
+        plain = run_workload(seed=0, substrate="local", n_ops=200)
+        resilient = run_workload(seed=0, substrate="resilient-local", n_ops=200)
+        assert plain[:-1] == resilient[:-1]
+        assert trace_digest(plain) != trace_digest(resilient)
+        assert "retries:0," in plain[-1]
+        assert "retries:0," not in resilient[-1]
 
     def test_trace_shape(self):
         events = run_workload(seed=0, n_ops=50)
